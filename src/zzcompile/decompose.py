@@ -3,16 +3,13 @@
 The n-spin propagator exp(-i*(pi/2)*J*T*sz_1...sz_n) is peeled down to a
 single two-spin coupling block conjugated by fixed three/four-pulse blocks
 (P1 and its exact inverse P2).  Every compile self-verifies against the
-ideal propagator up to global phase; if the canonical factor list ever
-failed to verify, a bounded search over rotation-angle sign flips runs and
-the applied pattern is recorded on the report.
+ideal propagator up to global phase and raises if the check fails.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from itertools import product as iproduct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +51,8 @@ class DecompositionReport:
     sequence: PulseSequence
     deviation: float
     global_phase: float
-    corrected: bool = False
-    notes: str = ""
+    ok: bool                 # deviation <= tol; false on NaN
     duration: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.deviation)
 
     def to_json(self) -> str:
         from .sequence import format_sequence
@@ -69,8 +61,9 @@ class DecompositionReport:
                 "target": self.target,
                 "deviation": self.deviation,
                 "global_phase": self.global_phase,
-                "corrected": self.corrected,
-                "notes": self.notes,
+                # fixed file-format keys: verification never rewrites a program
+                "corrected": False,
+                "notes": "",
                 "duration_s": self.duration,
                 "sequence": format_sequence(self.sequence).splitlines(),
             },
@@ -125,8 +118,7 @@ def _map_pair(l: int, spins):
 
 
 def verify_decomposition(seq: PulseSequence, ideal: np.ndarray, sys: SpinSystem,
-                         tol: float = 1e-10, target: str = "", corrected: bool = False,
-                         notes: str = "") -> DecompositionReport:
+                         tol: float = 1e-10, target: str = "") -> DecompositionReport:
     """Evaluate a sequence and compare with the ideal unitary up to global phase."""
     u = sequence_propagator(seq, sys)
     verdict = equal_up_to_global_phase(u, ideal, tol)
@@ -135,61 +127,19 @@ def verify_decomposition(seq: PulseSequence, ideal: np.ndarray, sys: SpinSystem,
         sequence=seq,
         deviation=verdict.deviation,
         global_phase=verdict.phase,
-        corrected=corrected,
-        notes=notes,
+        ok=verdict.equal,
         duration=sequence_duration(seq),
     )
 
 
-def _sign_flip_candidates(seq: PulseSequence, ideal, sys, tol):
-    """Bounded search over rotation-angle sign flips; None if nothing verifies."""
-    rot_idx = [i for i, ins in enumerate(seq.instructions) if isinstance(ins, Rotation)]
-    base = list(seq.instructions)
-    if len(rot_idx) <= 12:
-        groups = [(i,) for i in rot_idx]
-    else:
-        # long programs: flip uniformly per (axis, angle) role to stay bounded
-        by_role = {}
-        for i in rot_idx:
-            by_role.setdefault((base[i].axis, base[i].angle), []).append(i)
-        groups = [tuple(v) for v in by_role.values()]
-        if len(groups) > 12:
-            return None
-    for pattern in iproduct((1, -1), repeat=len(groups)):
-        if all(s == 1 for s in pattern):
-            continue
-        trial = list(base)
-        for s, idxs in zip(pattern, groups):
-            if s < 0:
-                for i in idxs:
-                    trial[i] = replace(base[i], angle=-base[i].angle)
-        cand = PulseSequence(trial, name=seq.name, description=seq.description)
-        verdict = equal_up_to_global_phase(sequence_propagator(cand, sys), ideal, tol)
-        if verdict.equal:
-            return cand, verdict, pattern
-    return None
-
-
 def _verified(seq, ideal, sys, tol, target):
     report = verify_decomposition(seq, ideal, sys, tol, target=target)
-    if report.deviation <= tol:
-        return report
-    found = _sign_flip_candidates(seq, ideal, sys, tol)
-    if found is None:
+    if not report.ok:
         raise DecompositionError(
             f"decomposition verification failed: deviation {report.deviation:.3e} > {tol:.1e}",
             report=report,
         )
-    cand, verdict, pattern = found
-    return DecompositionReport(
-        target=target,
-        sequence=cand,
-        deviation=verdict.deviation,
-        global_phase=verdict.phase,
-        corrected=True,
-        notes=f"rotation sign pattern {pattern} applied to the canonical factor list",
-        duration=sequence_duration(cand),
-    )
+    return report
 
 
 def decompose_chain(sys: SpinSystem, spins, j_eff: float, duration: float,

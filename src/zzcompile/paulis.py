@@ -108,6 +108,8 @@ class PhaseVerdict:
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> PhaseVerdict:
     """Find phi minimizing max|a - e^{i phi} b|; phi read off the largest entry of b."""
+    if not 0 <= tol < np.inf:
+        raise PauliError(f"tolerance must be finite and non-negative, got {tol!r}")
     if a.shape != b.shape:
         raise PauliError("shape mismatch")
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)

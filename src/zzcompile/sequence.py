@@ -52,18 +52,20 @@ class Rotation:
 class CouplingBlock:
     pair: tuple
     tau: float = None       # seconds; may be None when only the angle is known
-    realization: str = "ideal"
     angle: float = None     # (pi/2) * J_kl * tau, radians
 
     def __post_init__(self):
+        if len(self.pair) != 2:
+            raise SequenceError("coupling block needs exactly two spins")
         k, l = self.pair
         if k == l:
             raise SequenceError("coupling pair indices must be distinct")
         object.__setattr__(self, "pair", (min(k, l), max(k, l)))
-        if self.realization not in ("ideal", "compiled"):
-            raise SequenceError(f"unknown realization {self.realization!r}")
         if self.tau is None and self.angle is None:
             raise SequenceError("coupling block needs tau or angle")
+        for value in (self.tau, self.angle):
+            if value is not None and not np.isfinite(value):
+                raise SequenceError("coupling tau and angle must be finite")
 
     def effective_angle(self, sys: SpinSystem) -> float:
         if self.angle is not None:
@@ -76,6 +78,8 @@ class FreeDelay:
     tau: float
 
     def __post_init__(self):
+        if not np.isfinite(self.tau):
+            raise SequenceError("delay must be finite")
         if self.tau < 0:
             raise SequenceError("delay must be non-negative")
 
@@ -130,10 +134,6 @@ def instruction_propagator(instr, sys: SpinSystem) -> np.ndarray:
         k, l = instr.pair
         sys._check_spin(k)
         sys._check_spin(l)
-        if instr.realization == "compiled":
-            from .refocus import refocus_block
-            expanded = refocus_block(sys, instr.pair, instr.tau)
-            return sequence_propagator(expanded, sys)
         theta = instr.effective_angle(sys)
         return pauli_exponential(PauliString.z_string(n, instr.pair), theta, n)
     if isinstance(instr, FreeDelay):
@@ -152,7 +152,7 @@ def sequence_propagator(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     return compose([instruction_propagator(i, sys) for i in seq])
 
 
-def sequence_duration(seq: PulseSequence, gradient_duration: float = 0.0) -> float:
+def sequence_duration(seq: PulseSequence) -> float:
     parts = []
     for instr in seq:
         if isinstance(instr, Rotation):
@@ -162,7 +162,7 @@ def sequence_duration(seq: PulseSequence, gradient_duration: float = 0.0) -> flo
         elif isinstance(instr, FreeDelay):
             parts.append(instr.tau)
         elif isinstance(instr, Gradient):
-            parts.append(instr.duration if instr.duration else gradient_duration)
+            parts.append(instr.duration)
     return math.fsum(parts)
 
 
@@ -176,8 +176,7 @@ def reversed_inverse(seq: PulseSequence) -> PulseSequence:
         elif isinstance(instr, CouplingBlock):
             tau = -instr.tau if instr.tau is not None else None
             angle = -instr.angle if instr.angle is not None else None
-            out.append(CouplingBlock(instr.pair, tau=tau, realization=instr.realization,
-                                     angle=angle))
+            out.append(CouplingBlock(instr.pair, tau=tau, angle=angle))
         else:
             raise SequenceError(f"cannot invert {instr!r}")
     return PulseSequence(out, name=seq.name + "-inverse")
@@ -186,7 +185,8 @@ def reversed_inverse(seq: PulseSequence) -> PulseSequence:
 # --------------------------------------------------------------------------
 # Text form.  One instruction per line:
 #   ROT spins=1,2,4 axis=-y angle=pi/2 [dur=1e-5]
-#   CPL pair=1,2 tau=6.906e-3 mode=ideal [angle=pi/4]
+#   CPL pair=1,2 tau=6.906e-3 mode=ideal [angle=pi/4]   (mode is optional;
+#       "ideal" is the only mode: echo refocusing is spelled out as pulses)
 #   DELAY tau=1e-3
 #   GRAD [dur=1e-3]
 # Header comments carry metadata: "# name: ...", "# description: ...".
@@ -238,7 +238,7 @@ def format_instruction(instr) -> str:
             parts.append(f"tau={instr.tau!r}")
         if instr.angle is not None:
             parts.append(f"angle={format_angle(instr.angle)}")
-        parts.append(f"mode={instr.realization}")
+        parts.append("mode=ideal")
         return " ".join(parts)
     if isinstance(instr, FreeDelay):
         return f"DELAY tau={instr.tau!r}"
@@ -267,28 +267,46 @@ def _fields(tokens):
     return out
 
 
+def parse_spins(text: str) -> tuple:
+    """Comma-separated 1-based spin indices such as '1,2,4'."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise SequenceError(f"spins must be comma-separated integers, got {text!r}") from None
+
+
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise SequenceError(f"cannot parse number {token!r}") from None
+
+
 def parse_instruction(line: str):
     tokens = line.split()
     head, fields = tokens[0], _fields(tokens[1:])
-    if head == "ROT":
-        return Rotation(
-            spins=tuple(int(s) for s in fields["spins"].split(",")),
-            axis=fields["axis"],
-            angle=parse_angle(fields["angle"]),
-            duration=float(fields.get("dur", 0.0)),
-        )
-    if head == "CPL":
-        k, l = (int(s) for s in fields["pair"].split(","))
-        return CouplingBlock(
-            pair=(k, l),
-            tau=float(fields["tau"]) if "tau" in fields else None,
-            realization=fields.get("mode", "ideal"),
-            angle=parse_angle(fields["angle"]) if "angle" in fields else None,
-        )
-    if head == "DELAY":
-        return FreeDelay(tau=float(fields["tau"]))
-    if head == "GRAD":
-        return Gradient(duration=float(fields.get("dur", 0.0)))
+    try:
+        if head == "ROT":
+            return Rotation(
+                spins=parse_spins(fields["spins"]),
+                axis=fields["axis"],
+                angle=parse_angle(fields["angle"]),
+                duration=_number(fields.get("dur", "0")),
+            )
+        if head == "CPL":
+            if fields.get("mode", "ideal") != "ideal":
+                raise SequenceError(f"unknown coupling mode {fields['mode']!r}")
+            return CouplingBlock(
+                pair=parse_spins(fields["pair"]),
+                tau=_number(fields["tau"]) if "tau" in fields else None,
+                angle=parse_angle(fields["angle"]) if "angle" in fields else None,
+            )
+        if head == "DELAY":
+            return FreeDelay(tau=_number(fields["tau"]))
+        if head == "GRAD":
+            return Gradient(duration=_number(fields.get("dur", "0")))
+    except KeyError as exc:
+        raise SequenceError(f"{head} line is missing field {exc.args[0]!r}") from None
     raise SequenceError(f"unknown instruction {head!r}")
 
 

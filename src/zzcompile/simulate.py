@@ -71,12 +71,15 @@ def thermal_deviation_state(sys: SpinSystem) -> DeviationState:
     return DeviationState(np.diag(z.sum(axis=0).astype(complex)))
 
 
+def _gradient_mask(n: int) -> np.ndarray:
+    """True where the row and column states have equal total magnetization."""
+    pops = np.array([bin(b).count("1") for b in range(2 ** n)])
+    return pops[:, None] == pops[None, :]
+
+
 def gradient_crush(state: DeviationState) -> DeviationState:
     """Keep only matrix elements between states of equal total magnetization."""
-    n = state.n
-    pops = np.array([bin(b).count("1") for b in range(2 ** n)])
-    mask = pops[:, None] == pops[None, :]
-    return DeviationState(np.where(mask, state.matrix, 0))
+    return DeviationState(np.where(_gradient_mask(state.n), state.matrix, 0))
 
 
 def _damp(matrix: np.ndarray, damping: float) -> np.ndarray:
@@ -92,10 +95,7 @@ def apply_sequence(state: DeviationState, seq: PulseSequence, sys: SpinSystem,
     m = state.matrix
     for instr in seq:
         if isinstance(instr, Gradient):
-            n = state.n
-            pops = np.array([bin(b).count("1") for b in range(2 ** n)])
-            mask = pops[:, None] == pops[None, :]
-            m = np.where(mask, m, 0)
+            m = np.where(_gradient_mask(state.n), m, 0)
         else:
             if isinstance(instr, Rotation) and err.angle_scale != 1.0:
                 instr = Rotation(instr.spins, instr.axis,
@@ -145,9 +145,9 @@ def sweep_four_body(sys: SpinSystem, j_eff: float, t_points, mode: str = "analyt
     Returns a list of (pi*J_eff*T, expectation) rows in input order.
     """
     probe = PauliString.single(sys.n, target_spin, "X")
+    state = prepare_initial_state(sys, target_spin, err)
     rows = []
     for t in t_points:
-        state = prepare_initial_state(sys, target_spin, err)
         tgt = FourBodyTarget(spins=(1, 2, 3, 4), j_eff=j_eff, duration=t)
         evolved = evolve_four_body(state, sys, tgt, mode, err, variant)
         rows.append((np.pi * j_eff * t, expectation(evolved, probe)))

@@ -30,7 +30,7 @@ def test_compile_writes_artifacts(tmp_path, capfd):
     code = run(tmp_path, "compile", "--piJT", "pi/2", "--realization", "refocused")
     out = capfd.readouterr().out
     assert code == 0
-    assert "deviation=" in out and "corrected=False" in out
+    assert "deviation=" in out and "corrected" not in out
     seq_path = tmp_path / "sequences" / "four-body-A-refocused.seq"
     rep_path = tmp_path / "reports" / "four-body-A-refocused.json"
     assert seq_path.exists() and rep_path.exists()
@@ -56,6 +56,58 @@ def test_verify_failure_exit_code(tmp_path, capfd):
     err = capfd.readouterr().err
     assert code == 3
     assert err.startswith("error: verify:")
+
+
+def test_failed_compile_reports_without_search(tmp_path, capfd, monkeypatch):
+    import zzcompile.decompose as decompose
+    built = []
+    real = decompose.sequence_propagator
+    monkeypatch.setattr(decompose, "sequence_propagator",
+                        lambda seq, sys: built.append(seq) or real(seq, sys))
+    # an exact compile still misses a tolerance below double precision
+    code = run(tmp_path, "compile", "--piJT", "pi/2", "--tol", "1e-18")
+    assert code == 3
+    assert capfd.readouterr().err.startswith("error: verify:")
+    assert len(built) == 1
+
+
+def test_verify_nan_delay_is_config_error(tmp_path, capfd):
+    path = tmp_path / "nan.seq"
+    path.write_text("DELAY tau=nan\n")
+    code = run(tmp_path, "verify", "--input", str(path), "--piJT", "pi/2")
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_bad_tolerance_is_config_error(tmp_path, capfd, command, tol):
+    argv = [command, "--piJT", "pi/2", f"--tol={tol}"]
+    if command == "verify":
+        # the pi/4 program checked against pi/2 is off by far more than any tolerance
+        assert run(tmp_path, "compile", "--piJT", "pi/4") == 0
+        argv += ["--input", str(tmp_path / "sequences" / "four-body-A-ideal.seq")]
+    code = run(tmp_path, *argv)
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
+
+
+def test_verify_rejects_non_integer_spins(tmp_path, capfd):
+    assert run(tmp_path, "compile", "--piJT", "pi/4") == 0
+    seq_path = tmp_path / "sequences" / "four-body-A-ideal.seq"
+    code = run(tmp_path, "verify", "--input", str(seq_path), "--piJT", "pi/4",
+               "--spins", "1,x")
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
+
+
+def test_verify_malformed_seq_is_config_error(tmp_path, capfd):
+    path = tmp_path / "bad.seq"
+    for line in ("CPL tau=1e-3", "ROT spins=1,x axis=x angle=pi"):
+        path.write_text(line + "\n")
+        code = run(tmp_path, "verify", "--input", str(path), "--piJT", "pi/2")
+        assert code == 2
+        assert capfd.readouterr().err.startswith("error: config:")
 
 
 def test_config_error_exit_code(tmp_path, capfd):

@@ -89,7 +89,7 @@ def test_chain_four_spins_oracle(crotonic):
     oracle = z_string_oracle(4, (1, 2, 3, 4), np.pi / 8)
     from zzcompile.paulis import equal_up_to_global_phase
     assert equal_up_to_global_phase(u, oracle, 1e-10).equal
-    assert not report.corrected
+    assert report.ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -203,6 +203,16 @@ def test_verify_mismatch_is_data_not_error(crotonic):
     ideal = pauli_matrix(PauliString("XIII"), 4)
     report = verify_decomposition(seq, ideal, crotonic)
     assert report.deviation > 0.1  # no exception raised
+    assert not report.ok
+
+
+def test_verify_nan_deviation_is_not_ok(crotonic):
+    ideal = np.eye(16, dtype=complex)
+    ideal[1, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        report = verify_decomposition(PulseSequence([]), ideal, crotonic)
+    assert np.isnan(report.deviation)
+    assert not report.ok
 
 
 def test_report_serializes(crotonic):

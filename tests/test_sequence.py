@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zzcompile.molecule import load_molecule, spin_system
-from zzcompile.paulis import PauliString, equal_up_to_global_phase, pauli_matrix
+from zzcompile.paulis import PauliString, pauli_matrix
 from zzcompile.sequence import (
     CouplingBlock,
     FreeDelay,
@@ -147,7 +147,7 @@ def test_serialization_round_trip(crotonic):
             Rotation((2,), "-y", np.pi / 2),
             Rotation((1, 3), "x", np.pi, duration=1e-5),
             CouplingBlock((1, 2), tau=6.906e-3),
-            CouplingBlock((3, 4), angle=np.pi / 4, realization="ideal"),
+            CouplingBlock((3, 4), angle=np.pi / 4),
             FreeDelay(1e-3),
             Gradient(),
         ],
@@ -167,11 +167,34 @@ def test_parse_rejects_garbage():
         parse_sequence("ROT spins=1 axis=q angle=pi")
 
 
-def test_compiled_block_propagator_matches_ideal(crotonic):
-    from zzcompile.paulis import pauli_exponential
-    tau = 1.0 / (2 * 70.3)
-    ideal = pauli_exponential(PauliString("IZZI"), np.pi / 4, 4)
-    u = instruction_propagator(
-        CouplingBlock((2, 3), tau=tau, realization="compiled"), crotonic)
-    v = equal_up_to_global_phase(u, ideal, 1e-10)
-    assert v.equal
+@pytest.mark.parametrize("line", [
+    "ROT axis=x angle=pi",           # missing spins
+    "CPL tau=1e-3",                  # missing pair
+    "DELAY",                         # missing tau
+    "ROT spins=1,x axis=x angle=pi",
+    "CPL pair=1,b tau=1e-3",
+    "CPL pair=1,2,3 tau=1e-3",
+    "DELAY tau=soon",
+])
+def test_parse_rejects_malformed_fields(line):
+    with pytest.raises(SequenceError):
+        parse_sequence(line)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FreeDelay(float("nan")),
+    lambda: FreeDelay(float("inf")),
+    lambda: CouplingBlock((1, 2), tau=float("nan")),
+    lambda: CouplingBlock((1, 2), angle=float("inf")),
+], ids=["delay-nan", "delay-inf", "coupling-tau-nan", "coupling-angle-inf"])
+def test_non_finite_timing_rejected(make):
+    with pytest.raises(SequenceError):
+        make()
+
+
+def test_compiled_coupling_mode_rejected():
+    with pytest.raises(SequenceError):
+        parse_sequence("CPL pair=2,3 tau=7.1e-3 mode=compiled")
+    block = CouplingBlock((2, 3), tau=7.1e-3)
+    assert parse_sequence("CPL pair=2,3 tau=7.1e-3").instructions == (block,)
+    assert parse_sequence("CPL pair=2,3 tau=7.1e-3 mode=ideal").instructions == (block,)
