@@ -29,6 +29,7 @@ from .sequence import (
     SequenceError,
     format_sequence,
     parse_angle,
+    parse_number,
     parse_sequence,
     parse_spins,
     sequence_duration,
@@ -71,6 +72,10 @@ def _outpath(args, sub: str, name: str) -> str:
     return os.path.join(args.outdir, sub, name)
 
 
+# Largest sweep or spectrum grid; every spectrum point writes a 2^17-row CSV.
+MAX_GRID_POINTS = 1000
+
+
 def parse_grid(spec: str):
     """start:step:stop (inclusive within 1e-9), pi tokens allowed."""
     parts = spec.split(":")
@@ -79,7 +84,14 @@ def parse_grid(spec: str):
     start, step, stop = (parse_angle(p) for p in parts)
     if step == 0:
         raise SequenceError("grid step must be nonzero")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    if not np.isfinite(steps):
+        raise SequenceError(f"grid must span a finite number of steps, got {spec!r}")
+    count = int(round(steps))
+    if count < 0:
+        raise SequenceError(f"grid step points away from stop in {spec!r}")
+    if count + 1 > MAX_GRID_POINTS:
+        raise SequenceError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     values = [start + i * step for i in range(count + 1)]
     if abs(values[-1] - stop) > 1e-9:
         raise SequenceError(f"grid step does not divide the range in {spec!r}")
@@ -137,8 +149,17 @@ def cmd_verify(args) -> int:
 
 def cmd_refocus(args) -> int:
     mol = load_molecule(args.molecule)
-    k, l = (int(s) for s in args.pair.split(","))
-    tau = float(args.tau) if args.tau is not None else 1.0 / (2 * abs(mol.coupling(k, l)))
+    pair = parse_spins(args.pair)
+    if len(pair) != 2:
+        raise SequenceError(f"--pair needs exactly two spins, got {args.pair!r}")
+    k, l = pair
+    j = mol.coupling(k, l)
+    if args.tau is not None:
+        tau = parse_number(args.tau)
+    elif j == 0:
+        raise RefocusError(f"pair {pair!r} has zero coupling; no default duration")
+    else:
+        tau = 1.0 / (2 * abs(j))
     seq = refocus_block(mol, (k, l), tau, args.segments)
     pattern = toggling_patterns(mol.n, (k, l), args.segments)
     _write_atomic(_outpath(args, "sequences", f"refocus-{k}{l}.seq"),

@@ -66,11 +66,14 @@ def spin_system(n, shifts_hz, coupling_triples, labels=None) -> SpinSystem:
         if len(entry) != 3:
             raise MoleculeError(f"coupling entry must be [k, l, J]: {entry!r}")
         k, l, j = entry
-        if not (isinstance(k, int) and isinstance(l, int)):
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in (k, l)):
             raise MoleculeError(f"coupling indices must be integers: {entry!r}")
         if not 1 <= k <= n or not 1 <= l <= n or k == l:
             raise MoleculeError(f"coupling index out of range: {entry!r}")
-        j = float(j)
+        try:
+            j = float(j)
+        except (TypeError, ValueError):
+            raise MoleculeError(f"non-numeric coupling: {entry!r}") from None
         pair = (min(k, l), max(k, l))
         if pair in seen:
             if table[pair[0] - 1][pair[1] - 1] != j:
@@ -87,21 +90,31 @@ def spin_system(n, shifts_hz, coupling_triples, labels=None) -> SpinSystem:
     )
 
 
-def _from_dict(doc: dict) -> SpinSystem:
+def _from_dict(doc) -> SpinSystem:
+    if not isinstance(doc, dict):
+        raise MoleculeError("molecule document must be a JSON object")
     for key in ("n", "shifts_hz"):
         if key not in doc:
             raise MoleculeError(f"missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MoleculeError("field 'n' must be a positive integer")
     shifts = doc["shifts_hz"]
+    if not isinstance(shifts, list):
+        raise MoleculeError("field 'shifts_hz' must be a list")
     if len(shifts) != n:
         raise MoleculeError("shifts_hz length must equal n")
     try:
         shifts = [float(s) for s in shifts]
     except (TypeError, ValueError):
         raise MoleculeError("non-numeric value in shifts_hz") from None
-    return spin_system(n, shifts, doc.get("couplings_hz", []), doc.get("labels"))
+    couplings = doc.get("couplings_hz", [])
+    if not isinstance(couplings, list) or not all(isinstance(e, list) for e in couplings):
+        raise MoleculeError("field 'couplings_hz' must be a list of [k, l, J] lists")
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise MoleculeError("field 'labels' must be a list")
+    return spin_system(n, shifts, couplings, labels)
 
 
 PRESETS = ("crotonic-acid",)

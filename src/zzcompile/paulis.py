@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -124,19 +123,32 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -
     return PhaseVerdict(deviation <= tol, phase, deviation)
 
 
+# Row P of this map holds the entries of M(P)^T / 2, so that contracting it
+# with a spin's (row, column) index pair gives Tr(a M(P)) / 2 for a 2x2 block a.
+_TO_PAULI = np.array([_SINGLE[c].T.reshape(4) for c in LETTERS]) / 2
+
+
 def pauli_coefficients(op: np.ndarray, cutoff: float = 1e-12) -> dict:
-    """Expand a Hermitian operator in the Pauli basis: c_P = Tr(op M(P)) / 2^n."""
+    """Expand a Hermitian operator in the Pauli basis: c_P = Tr(op M(P)) / 2^n.
+
+    The transform pairs each spin's row and column axes into one index of
+    size 4 and contracts it with the fixed (I, X, Y, Z)/2 map: n passes over
+    4^n numbers.  Keys come in `itertools.product(LETTERS, repeat=n)` order.
+    """
     dim = op.shape[0]
     n = dim.bit_length() - 1
     if 2 ** n != dim:
         raise PauliError("dimension is not a power of two")
     if np.max(np.abs(op - op.conj().T)) > 1e-9:
         raise PauliError("operator is not Hermitian")
+    pairs = [axis for k in range(n) for axis in (k, n + k)]
+    t = np.asarray(op, dtype=complex).reshape((2,) * 2 * n).transpose(pairs)
+    t = t.reshape(4 ** n)
+    for k in range(n):
+        t = (_TO_PAULI @ t.reshape(4 ** k, 4, -1)).reshape(-1)
+    coeffs = t.real
     out = {}
-    for letters in product(LETTERS, repeat=n):
-        s = "".join(letters)
-        m = pauli_matrix(PauliString(s), n)
-        c = np.trace(op @ m).real / dim
-        if abs(c) > cutoff:
-            out[s] = float(c)
+    for index in np.flatnonzero(np.abs(coeffs) > cutoff):
+        letters = "".join(LETTERS[(index >> 2 * (n - 1 - k)) & 3] for k in range(n))
+        out[letters] = float(coeffs[index])
     return out

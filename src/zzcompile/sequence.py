@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .molecule import SpinSystem, hamiltonian
-from .paulis import PauliString, compose, pauli_exponential
+from .molecule import SpinSystem, hamiltonian, z_eigenvalues
+from .paulis import _SINGLE
 
 AXES = ("x", "y", "z", "-x", "-y", "-z")
 
@@ -117,39 +117,84 @@ class PulseSequence:
 _AXIS_SIGN = {"x": 1, "y": 1, "z": 1, "-x": -1, "-y": -1, "-z": -1}
 
 
-def instruction_propagator(instr, sys: SpinSystem) -> np.ndarray:
-    """Unitary of a single instruction on the given spin system."""
-    n = sys.n
-    if isinstance(instr, Gradient):
-        raise SequenceError("gradient is non-unitary; simulate on a state instead")
-    if isinstance(instr, Rotation):
-        sign = _AXIS_SIGN[instr.axis]
-        letter = instr.axis.lstrip("-").upper()
-        ops = [
-            pauli_exponential(PauliString.single(n, s, letter), sign * instr.angle / 2, n)
-            for s in instr.spins
-        ]
-        return compose(ops)
-    if isinstance(instr, CouplingBlock):
-        k, l = instr.pair
-        sys._check_spin(k)
-        sys._check_spin(l)
-        theta = instr.effective_angle(sys)
-        return pauli_exponential(PauliString.z_string(n, instr.pair), theta, n)
-    if isinstance(instr, FreeDelay):
-        h = np.diag(hamiltonian(sys)).copy()
-        return np.diag(np.exp(-1j * h * instr.tau))
-    raise SequenceError(f"unknown instruction {instr!r}")
+# --------------------------------------------------------------------------
+# Propagation kernel.  Every unitary instruction is either diagonal
+# (CouplingBlock, FreeDelay), applied as a phase vector over the 2^n basis
+# states, or a product of one-spin rotations, applied as a 2x2 factor on the
+# tensor axis of each listed spin (spin 1 is the most significant axis).  No
+# dense 2^n x 2^n matrix is built per instruction.
+# --------------------------------------------------------------------------
+
+def _actions(instructions, sys: SpinSystem):
+    """Yield each instruction's action, in order.
+
+    A diagonal instruction yields its phase vector (a 1-d array), a rotation
+    a list of (spin, 2x2 factor) pairs, and a Gradient None.  The energy
+    diagonal is computed once per walk, at the first FreeDelay.
+    """
+    z = z_eigenvalues(sys.n)
+    energies = None
+    for instr in instructions:
+        if isinstance(instr, Rotation):
+            for s in instr.spins:
+                sys._check_spin(s)
+            # exp(-i*(theta/2)*sigma_a), the same 2x2 factor on every listed spin
+            phi = _AXIS_SIGN[instr.axis] * instr.angle / 2
+            sigma = _SINGLE[instr.axis.lstrip("-").upper()]
+            factor = np.cos(phi) * _SINGLE["I"] - 1j * np.sin(phi) * sigma
+            yield [(s, factor) for s in instr.spins]
+        elif isinstance(instr, CouplingBlock):
+            k, l = instr.pair
+            sys._check_spin(k)
+            sys._check_spin(l)
+            theta = instr.effective_angle(sys)
+            yield np.cos(theta) - 1j * np.sin(theta) * (z[k - 1] * z[l - 1])
+        elif isinstance(instr, FreeDelay):
+            if energies is None:
+                energies = np.diag(hamiltonian(sys)).real
+            yield np.exp(-1j * energies * instr.tau)
+        elif isinstance(instr, Gradient):
+            yield None
+        else:
+            raise SequenceError(f"unknown instruction {instr!r}")
+
+
+def _on_axis(t: np.ndarray, factor: np.ndarray, axis: int) -> np.ndarray:
+    """Contract a 2x2 factor with tensor axis `axis` of t, read as 2 x 2 x ... (C order)."""
+    return (factor @ t.reshape(2 ** axis, 2, -1)).reshape(t.shape)
+
+
+def _left(t: np.ndarray, action) -> np.ndarray:
+    """U @ t for one action's unitary U; t has 2^n rows and any number of columns."""
+    if isinstance(action, np.ndarray):
+        return action[:, None] * t
+    for s, factor in action:
+        t = _on_axis(t, factor, s - 1)
+    return t
+
+
+def _conjugate(m: np.ndarray, action, n: int) -> np.ndarray:
+    """U @ m @ U^dagger for one action's unitary U on a 2^n x 2^n matrix m.
+
+    Read row-major, m is a vector over 2n spin axes (rows first), on which
+    U m U^dagger acts as U on the row axes and conj(U) on the column axes.
+    """
+    if isinstance(action, np.ndarray):
+        return action[:, None] * m * action.conj()
+    for s, factor in action:
+        m = _on_axis(m, factor, s - 1)
+        m = _on_axis(m, factor.conj(), n + s - 1)
+    return m
 
 
 def sequence_propagator(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Product of instruction propagators, first instruction applied first."""
-    dim = 2 ** sys.n
     if any(isinstance(i, Gradient) for i in seq):
         raise SequenceError("non-unitary sequence; simulate on a state instead")
-    if not len(seq):
-        return np.eye(dim, dtype=complex)
-    return compose([instruction_propagator(i, sys) for i in seq])
+    u = np.eye(2 ** sys.n, dtype=complex)
+    for action in _actions(seq, sys):
+        u = _left(u, action)
+    return u
 
 
 def sequence_duration(seq: PulseSequence) -> float:
@@ -275,7 +320,8 @@ def parse_spins(text: str) -> tuple:
         raise SequenceError(f"spins must be comma-separated integers, got {text!r}") from None
 
 
-def _number(token: str) -> float:
+def parse_number(token: str) -> float:
+    """A decimal number such as '6.906e-3'."""
     try:
         return float(token)
     except ValueError:
@@ -291,20 +337,20 @@ def parse_instruction(line: str):
                 spins=parse_spins(fields["spins"]),
                 axis=fields["axis"],
                 angle=parse_angle(fields["angle"]),
-                duration=_number(fields.get("dur", "0")),
+                duration=parse_number(fields.get("dur", "0")),
             )
         if head == "CPL":
             if fields.get("mode", "ideal") != "ideal":
                 raise SequenceError(f"unknown coupling mode {fields['mode']!r}")
             return CouplingBlock(
                 pair=parse_spins(fields["pair"]),
-                tau=_number(fields["tau"]) if "tau" in fields else None,
+                tau=parse_number(fields["tau"]) if "tau" in fields else None,
                 angle=parse_angle(fields["angle"]) if "angle" in fields else None,
             )
         if head == "DELAY":
-            return FreeDelay(tau=_number(fields["tau"]))
+            return FreeDelay(tau=parse_number(fields["tau"]))
         if head == "GRAD":
-            return Gradient(duration=_number(fields.get("dur", "0")))
+            return Gradient(duration=parse_number(fields.get("dur", "0")))
     except KeyError as exc:
         raise SequenceError(f"{head} line is missing field {exc.args[0]!r}") from None
     raise SequenceError(f"unknown instruction {head!r}")

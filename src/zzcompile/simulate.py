@@ -14,12 +14,7 @@ import numpy as np
 from .decompose import FourBodyTarget, compile_four_body, prepare_sequence
 from .molecule import SpinSystem, z_eigenvalues
 from .paulis import PauliString, pauli_coefficients, pauli_exponential, pauli_matrix
-from .sequence import (
-    Gradient,
-    PulseSequence,
-    Rotation,
-    instruction_propagator,
-)
+from .sequence import PulseSequence, Rotation, _actions, _conjugate
 
 
 class SimulationError(ValueError):
@@ -92,16 +87,22 @@ def _damp(matrix: np.ndarray, damping: float) -> np.ndarray:
 
 def apply_sequence(state: DeviationState, seq: PulseSequence, sys: SpinSystem,
                    err: ErrorModel = IDEAL) -> DeviationState:
+    instructions = seq.instructions
+    if err.angle_scale != 1.0:
+        instructions = [
+            Rotation(i.spins, i.axis, i.angle * err.angle_scale, i.duration)
+            if isinstance(i, Rotation) else i
+            for i in instructions
+        ]
+    n = state.n
+    if n != sys.n:
+        raise SimulationError(f"state has {n} spins, spin system has {sys.n}")
     m = state.matrix
-    for instr in seq:
-        if isinstance(instr, Gradient):
-            m = np.where(_gradient_mask(state.n), m, 0)
+    for action in _actions(instructions, sys):
+        if action is None:
+            m = np.where(_gradient_mask(n), m, 0)
         else:
-            if isinstance(instr, Rotation) and err.angle_scale != 1.0:
-                instr = Rotation(instr.spins, instr.axis,
-                                 instr.angle * err.angle_scale, instr.duration)
-            u = instruction_propagator(instr, sys)
-            m = u @ m @ u.conj().T
+            m = _conjugate(m, action, n)
         m = _damp(m, err.per_instruction_damping)
     return DeviationState(m)
 

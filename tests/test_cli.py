@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from zzcompile.cli import main, parse_grid
+from zzcompile.cli import MAX_GRID_POINTS, main, parse_grid
 from zzcompile.sequence import SequenceError
 
 
@@ -24,6 +24,35 @@ def test_parse_grid_rejects_bad_step():
         parse_grid("0:0.3:1.0")
     with pytest.raises(SequenceError):
         parse_grid("0:pi/4")
+    with pytest.raises(SequenceError, match="points away"):
+        parse_grid("1:0.5:0")
+    with pytest.raises(SequenceError, match="finite"):
+        parse_grid("0:1:inf")
+
+
+def test_parse_grid_caps_point_count(monkeypatch):
+    assert len(parse_grid(f"0:1:{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+    # the cap is checked before any point is built: a grid over it never
+    # reaches the range() that would build the list
+    import builtins
+    real_range = builtins.range
+
+    def guarded_range(*args):
+        if len(args) == 1 and args[0] > MAX_GRID_POINTS:
+            raise AssertionError("grid list built before the cap was checked")
+        return real_range(*args)
+
+    monkeypatch.setattr(builtins, "range", guarded_range)
+    with pytest.raises(SequenceError, match="more than"):
+        parse_grid(f"0:1:{MAX_GRID_POINTS}")
+    with pytest.raises(SequenceError, match="more than"):
+        parse_grid("0:1e-9:1")
+
+
+def test_oversized_grid_is_config_error(tmp_path, capfd):
+    code = run(tmp_path, "sweep", "--grid", "0:1e-9:1")
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
 
 
 def test_compile_writes_artifacts(tmp_path, capfd):
@@ -135,6 +164,25 @@ def test_refocus_outputs(tmp_path, capfd):
     assert csv.splitlines()[0].startswith("spin,seg1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pair", "1,x"],
+    ["--pair", "1,2,3"],
+    ["--pair", "1,2", "--tau", "soon"],
+])
+def test_refocus_bad_arguments_are_config_errors(tmp_path, capfd, argv):
+    code = run(tmp_path, "refocus", *argv)
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
+
+
+def test_refocus_default_tau_needs_coupling(tmp_path, capfd):
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps({"n": 2, "shifts_hz": [0.0, 10.0]}))
+    code = run(tmp_path, "refocus", "--molecule", str(path), "--pair", "1,2")
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
+
+
 def test_prepare_prints_single_term(tmp_path, capfd):
     code = run(tmp_path, "prepare")
     out = capfd.readouterr().out
@@ -216,6 +264,19 @@ def test_deterministic_outputs(tmp_path, capfd):
                 os.path.join("reports", "four-body-A-refocused.json"),
                 os.path.join("csv", "sweep.csv")):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "shifts_hz": 5},
+    {"n": True, "shifts_hz": [0.0]},
+    {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": 5},
+])
+def test_malformed_molecule_is_config_error(tmp_path, capfd, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run(tmp_path, "prepare", "--molecule", str(path), "--target-spin", "1")
+    assert code == 2
+    assert capfd.readouterr().err.startswith("error: config:")
 
 
 def test_custom_molecule_file(tmp_path, capfd):

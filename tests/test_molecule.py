@@ -57,6 +57,14 @@ def test_asymmetric_coupling_rejected(tmp_path):
     {"n": 1, "shifts_hz": ["abc"]},
     {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": [[1, 3, 1.0]]},
     {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": [[1, 1, 1.0]]},
+    {"n": 1, "shifts_hz": 5},
+    {"n": True, "shifts_hz": [0.0]},
+    {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": 5},
+    {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": [5]},
+    {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": [[1, 2, "abc"]]},
+    {"n": 2, "shifts_hz": [0.0, 0.0], "couplings_hz": [[True, 2, 1.0]]},
+    {"n": 1, "shifts_hz": [0.0], "labels": 5},
+    [1, 2],
 ])
 def test_invalid_documents(tmp_path, doc):
     path = tmp_path / "bad.json"

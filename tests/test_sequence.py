@@ -12,7 +12,6 @@ from zzcompile.sequence import (
     SequenceError,
     format_angle,
     format_sequence,
-    instruction_propagator,
     parse_angle,
     parse_sequence,
     reversed_inverse,
@@ -26,27 +25,32 @@ def crotonic():
     return load_molecule("crotonic-acid")
 
 
+def unitary(instr, sys):
+    """One instruction's propagator, through the propagation kernel."""
+    return sequence_propagator(PulseSequence([instr]), sys)
+
+
 def test_rotation_half_pi_y():
     sys1 = spin_system(1, [0.0], [])
-    u = instruction_propagator(Rotation((1,), "y", np.pi / 2), sys1)
+    u = unitary(Rotation((1,), "y", np.pi / 2), sys1)
     c = np.sqrt(2) / 2
     assert np.allclose(u, [[c, -c], [c, c]])
 
 
 def test_rotation_pi_y_is_minus_i_sigma_y(crotonic):
-    u = instruction_propagator(Rotation((3,), "y", np.pi), crotonic)
+    u = unitary(Rotation((3,), "y", np.pi), crotonic)
     assert np.allclose(u, -1j * pauli_matrix(PauliString("IIYI"), 4), atol=1e-15)
 
 
 def test_rotation_negative_axis(crotonic):
-    plus = instruction_propagator(Rotation((2,), "y", np.pi / 2), crotonic)
-    minus = instruction_propagator(Rotation((2,), "-y", np.pi / 2), crotonic)
+    plus = unitary(Rotation((2,), "y", np.pi / 2), crotonic)
+    minus = unitary(Rotation((2,), "-y", np.pi / 2), crotonic)
     assert np.max(np.abs(plus @ minus - np.eye(16))) < 1e-14
 
 
 def test_multi_spin_rotation(crotonic):
-    u = instruction_propagator(Rotation((1, 2, 4), "y", np.pi / 2), crotonic)
-    singles = [instruction_propagator(Rotation((s,), "y", np.pi / 2), crotonic)
+    u = unitary(Rotation((1, 2, 4), "y", np.pi / 2), crotonic)
+    singles = [unitary(Rotation((s,), "y", np.pi / 2), crotonic)
                for s in (1, 2, 4)]
     assert np.max(np.abs(u - singles[0] @ singles[1] @ singles[2])) < 1e-13
 
@@ -54,7 +58,7 @@ def test_multi_spin_rotation(crotonic):
 def test_coupling_block_half_j(crotonic):
     from zzcompile.paulis import pauli_exponential
     tau = 1.0 / (2 * 72.4)
-    u = instruction_propagator(CouplingBlock((1, 2), tau=tau), crotonic)
+    u = unitary(CouplingBlock((1, 2), tau=tau), crotonic)
     ideal = pauli_exponential(PauliString("ZZII"), np.pi / 4, 4)
     assert np.max(np.abs(u - ideal)) < 1e-12
 
@@ -63,16 +67,16 @@ def test_free_delay_matches_diagonal_hamiltonian(crotonic):
     from zzcompile.molecule import hamiltonian
     from scipy.linalg import expm
     tau = 0.004
-    u = instruction_propagator(FreeDelay(tau), crotonic)
+    u = unitary(FreeDelay(tau), crotonic)
     oracle = expm(-1j * hamiltonian(crotonic) * tau)
     assert np.max(np.abs(u - oracle)) < 1e-12
 
 
 def test_gradient_has_no_propagator(crotonic):
-    with pytest.raises(SequenceError):
-        instruction_propagator(Gradient(), crotonic)
     with pytest.raises(SequenceError, match="non-unitary"):
         sequence_propagator(PulseSequence([Gradient()]), crotonic)
+    with pytest.raises(SequenceError, match="non-unitary"):
+        sequence_propagator(PulseSequence([Rotation((1,), "x", 1.0), Gradient()]), crotonic)
 
 
 def test_unknown_axis_rejected():
@@ -100,7 +104,7 @@ def test_instruction_unitarity(crotonic):
         FreeDelay(0.007),
     ]
     for instr in instrs:
-        u = instruction_propagator(instr, crotonic)
+        u = unitary(instr, crotonic)
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-12
 
 

@@ -220,3 +220,9 @@ def test_imperfect_pulses_change_amplitude(crotonic):
                            "compiled-refocused", err)
     fit = fit_cosine([x for x, _ in rows], [y for _, y in rows])
     assert abs(fit.amplitude - 1.0) > 1e-3
+
+
+def test_apply_sequence_rejects_spin_count_mismatch(crotonic):
+    seq = PulseSequence([Rotation((1,), "x", np.pi / 2)])
+    with pytest.raises(SimulationError, match="spins"):
+        apply_sequence(state_of("XI"), seq, crotonic)
